@@ -1,10 +1,18 @@
-"""Setup shim.
+"""Package metadata: ``pip install -e .`` installs ``repro`` from ``src/``."""
 
-All metadata lives in ``pyproject.toml``; this file exists so that
-``pip install -e . --no-use-pep517`` works on environments without the
-``wheel`` package (PEP 660 editable builds require it).
-"""
+import re
+from pathlib import Path
 
-from setuptools import setup
+from setuptools import find_packages, setup
 
-setup()
+_VERSION_FILE = Path(__file__).parent / "src" / "repro" / "_version.py"
+_VERSION = re.search(
+    r'^__version__ = "([^"]+)"', _VERSION_FILE.read_text(), re.MULTILINE
+).group(1)
+
+setup(
+    name="repro",
+    version=_VERSION,
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+)

@@ -907,6 +907,18 @@ class ServerProtocol:
         self._waitout_commit_tags = []
         return self.drain_replies()
 
+    @property
+    def blocked_on_view(self) -> bool:
+        """Paused on a view change this server itself must push along:
+        suspicion-paused, or waiting on its own in-flight proposal (not
+        rejoining, which a sponsor resolves).  The host keeps
+        re-evaluating the proposal while this holds."""
+        return (
+            self.paused
+            and not self.rejoining
+            and (self._suspicion_paused or self._attempt_nonce is not None)
+        )
+
     def propose_reconfig(self) -> list[Reply]:
         """Re-evaluate the view proposal (runtime-called, grace-delayed).
 

@@ -75,7 +75,7 @@ from repro.errors import (
     StorageUnavailableError,
 )
 from repro.runtime.interface import Reply
-from repro.runtime.sim_net import ClientHost, HostBase, OutLoop, SimCluster
+from repro.runtime.sim_net import ClientHost, ServerHostBase, SimCluster
 from repro.sim.counters import (
     MIGRATION_ABORTED,
     MIGRATION_BYTES,
@@ -115,7 +115,7 @@ class ShardEnvelope:
         return 4 + payload_size(self.inner)
 
 
-class ShardedServerHost(HostBase):
+class ShardedServerHost(ServerHostBase):
     """One machine hosting a register protocol instance per block.
 
     Without a ``placement`` every block lives here over the cluster-wide
@@ -132,8 +132,7 @@ class ShardedServerHost(HostBase):
         num_blocks: int,
         placement: Optional[PlacementTable] = None,
     ):
-        super().__init__(cluster, f"s{server_id}")
-        self.server_id = server_id
+        super().__init__(cluster, server_id)
         self._placement = placement
         if placement is None:
             hosted = tuple(range(num_blocks))
@@ -164,22 +163,6 @@ class ShardedServerHost(HostBase):
         self.block_bytes: dict[int, int] = {}
         self._ring_rr = 0
         self._reply_queue: deque = deque()
-        #: Generation of the running rejoin-announcement pump, if any
-        #: (see :meth:`SimCluster.begin_rejoin`).
-        self._rejoin_pump_gen: Optional[int] = None
-        #: Last-mirrored protocol stats, for trace-counter deltas.
-        self._mirrored_stats: dict[str, int] = {}
-        nics = cluster.topo.nics[self.name]
-        if cluster.config.topology == "dual":
-            self.nic_ring = nics["srv"]
-            self.nic_client = nics["cli"]
-            self._loops.append(OutLoop(self, self.nic_ring, [self._ring_source]))
-            self._loops.append(OutLoop(self, self.nic_client, [self._reply_source]))
-        else:
-            nic = nics["lan"]
-            self.nic_ring = nic
-            self.nic_client = nic
-            self._loops.append(OutLoop(self, nic, [self._ring_source, self._reply_source]))
 
     def _block_ring(self, reg: int) -> RingView:
         """The view a fresh protocol instance for ``reg`` starts in: the
@@ -190,8 +173,8 @@ class ShardedServerHost(HostBase):
         return RingView(self._placement.servers_of(reg), frozenset(), 0)
 
     def all_protos(self) -> list[ServerProtocol]:
-        """Every block's protocol instance (cluster machinery iterates
-        these for rejoin pumps, reconcile timers and stat mirroring)."""
+        """Every block's protocol instance (the host core and the stat
+        mirror iterate these)."""
         return list(self.protos.values())
 
     # -- inbound ------------------------------------------------------
@@ -209,7 +192,7 @@ class ShardedServerHost(HostBase):
             self.env.trace.count(SHARD_STALE_DROPPED)
             return
         self._post(proto.on_ring_message(envelope.inner, sender))
-        self.cluster.after_protocol_step(self)
+        self.after_step()
 
     def receive_client(self, client_id: int, envelope: ShardEnvelope) -> None:
         if not self.alive:
@@ -241,7 +224,7 @@ class ShardedServerHost(HostBase):
         # Leased reads complete with zero ring traffic; without this the
         # lease stat mirror would wait for a ring receipt that may never
         # come (see ServerHost.receive_client).
-        self.cluster.after_protocol_step(self)
+        self.after_step()
 
     def _redirect(self, client_id: int, envelope: ShardEnvelope) -> None:
         """Reply with the authoritative placement entry for the block
@@ -268,23 +251,6 @@ class ShardedServerHost(HostBase):
         for proto in self.protos.values():
             if crashed_id in proto.ring.members:
                 self._post(proto.on_server_crash(crashed_id))
-
-    def notify_suspect(self, peer: int) -> None:
-        """Imperfect-detector suspicion (may be wrong): every block's
-        register pauses behind the same server-level suspicion."""
-        if not self.alive:
-            return
-        for proto in self.protos.values():
-            self._post(proto.on_suspect(peer))
-        self.cluster.after_protocol_step(self)
-
-    def notify_unsuspect(self, peer: int) -> None:
-        """A suspected peer's heartbeat arrived: suspicion withdrawn."""
-        if not self.alive:
-            return
-        for proto in self.protos.values():
-            self._post(proto.on_unsuspect(peer))
-        self.cluster.after_protocol_step(self)
 
     # -- elastic placement hooks (rebalancer-driven) -------------------
 
@@ -337,8 +303,6 @@ class ShardedServerHost(HostBase):
         super().restart()
         self._reply_queue.clear()
         self._ring_rr = 0
-        self._rejoin_pump_gen = None
-        self._mirrored_stats = {}
         if self._placement is None:
             alone = self.cluster.restart_resumes_alone(self.server_id)
             self.protos = {
@@ -374,10 +338,7 @@ class ShardedServerHost(HostBase):
                     alone=alone,
                     generation=self.restarts,
                 )
-        if self.cluster.hb is not None:
-            self.cluster.hb.reset_server(self.server_id)
-        self.cluster.begin_rejoin(self)
-        self.kick()
+        self._restart_core()
 
     def _resume_alone(self, reg: int, members) -> bool:
         """Whether this restarting server may serve ``reg`` without a
@@ -419,16 +380,36 @@ class ShardedServerHost(HostBase):
                 return False  # peer crashed after us: it holds fresher state
         return True
 
-    # -- outbound -------------------------------------------------------
+    def _rejoin_sponsors(self, pending, attempt: int):
+        """Per-block rings: a block's rejoin can only be sponsored by a
+        member of *its* ring — an announcement to any other server dies
+        as stale-placement traffic.  Prefer a member that is actually
+        serving; if every peer of a ring is down or itself rejoining,
+        keep the block pending and retry (:meth:`_resume_alone` already
+        decided who may serve without a sponsor)."""
+        if self._placement is None:
+            return super()._rejoin_sponsors(pending, attempt)
+        servers = self.cluster.servers
+        block_of = {id(proto): reg for reg, proto in self.protos.items()}
+        sponsors: list[Optional[int]] = []
+        for proto in pending:
+            reg = block_of[id(proto)]
+            candidates = [
+                sid
+                for sid in proto.ring.members
+                if sid != self.server_id and servers[sid].alive
+            ]
+            serving = [
+                sid
+                for sid in candidates
+                if (peer := servers[sid].protos.get(reg)) is not None
+                and not peer.rejoining
+            ]
+            pool = serving or candidates
+            sponsors.append(pool[attempt % len(pool)] if pool else None)
+        return sponsors
 
-    @property
-    def ring_batch_limit(self) -> int:
-        """Batch only on a dedicated ring NIC (see the unsharded host):
-        on a shared port a k-message frame would out-share client
-        replies k-fold in the frame-granular round-robin."""
-        if self.nic_ring is self.nic_client:
-            return 1
-        return self.cluster.batch_limit
+    # -- outbound -------------------------------------------------------
 
     def _ring_source(self):
         """Round-robin the ring link across blocks with pending work.
@@ -449,30 +430,17 @@ class ShardedServerHost(HostBase):
         for offset in range(slots):
             index = (self._ring_rr + offset) % slots
             reg = keys[index]
-            proto = self.protos[reg]
-            directed = proto.next_directed_message()
-            if directed is not None:
-                destination, message = directed
+            # Batch within one block's slot only: blocks hold independent
+            # ring views, so their successors may diverge and a
+            # cross-block frame could mix destinations.  Fairness across
+            # blocks is unchanged — the slot advances one block per frame.
+            frame = self.core.next_ring_frame(self.protos[reg])
+            if frame is not None:
                 self._ring_rr = (index + 1) % slots
-                return (f"s{destination}", ShardEnvelope(reg, message), "ring")
-            limit = self.ring_batch_limit
-            if limit > 1:
-                # Batch within one block's slot only: blocks hold
-                # independent ring views, so their successors may
-                # diverge and a cross-block frame could mix
-                # destinations.  Fairness across blocks is unchanged —
-                # the slot still advances by one block per frame.
-                batch = proto.next_ring_batch(limit)
-                if batch:
-                    self._ring_rr = (index + 1) % slots
-                    wrapped = [ShardEnvelope(reg, m) for m in batch]
-                    payload = wrapped[0] if len(wrapped) == 1 else wrapped
-                    return (f"s{proto.successor}", payload, "ring")
-                continue
-            message = proto.next_ring_message()
-            if message is not None:
-                self._ring_rr = (index + 1) % slots
-                return (f"s{proto.successor}", ShardEnvelope(reg, message), "ring")
+                destination, messages, _directed = frame
+                wrapped = [ShardEnvelope(reg, m) for m in messages]
+                payload = wrapped[0] if len(wrapped) == 1 else wrapped
+                return (f"s{destination}", payload, "ring")
         return None
 
     def _reply_source(self):

@@ -34,7 +34,7 @@ it is still trusted (the timeout is the *allowed* silence).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from repro.errors import ConfigurationError
 
@@ -293,16 +293,3 @@ class ReadLease:
             if grant_epoch != epoch or now - granted_at > self.duration:
                 return False
         return True
-
-    def expires_at(self, epoch: int) -> Optional[float]:
-        """Earliest holder-clock time the currently-held grants stop
-        covering ``epoch`` — for scheduling an expiry check — or
-        ``None`` if the lease is not even potentially valid (a required
-        grant missing or stamped with another epoch)."""
-        deadlines: list[float] = []
-        for grantor in sorted(self._required):
-            held = self._grants.get(grantor)
-            if held is None or held[0] != epoch:
-                return None
-            deadlines.append(held[1] + self.duration)
-        return min(deadlines) if deadlines else None

@@ -54,6 +54,7 @@ from __future__ import annotations
 
 import asyncio
 import struct
+from itertools import chain
 from typing import Optional
 
 from repro.core.client import ClientProtocol
@@ -71,7 +72,8 @@ from repro.core.messages import (
 from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.errors import ConfigurationError, StorageUnavailableError
-from repro.fd.heartbeat import HeartbeatConfig, HeartbeatTracker, ReadLease
+from repro.fd.heartbeat import HeartbeatConfig
+from repro.runtime.host import ArmTimer, Beacon, HostCore, Kick, Post, SendLease
 from repro.runtime.interface import (
     CancelTimer,
     Complete,
@@ -107,11 +109,6 @@ _KIND_REJOIN = 2
 #: Persistent heartbeat stream (fd="heartbeat"): raw Heartbeat frames,
 #: no session layer — a retransmitted heartbeat is not freshness.
 _KIND_HB = 3
-
-#: How often a rejoining server re-announces itself (to the next
-#: candidate sponsor, round-robin) until a reconfiguration commit folds
-#: it back into the ring.
-_REJOIN_RETRY = 0.3
 
 #: How long the ring sender waits before redialling an unreachable
 #: successor under the heartbeat detector (where a refused connection is
@@ -185,16 +182,11 @@ class AsyncServerNode:
             if fd == "heartbeat"
             else None
         )
-        self._tracker: Optional[HeartbeatTracker] = None
         self._hb_writers: dict[int, asyncio.StreamWriter] = {}
-        #: Holder-side read lease (``config.read_leases`` under the
-        #: heartbeat detector).  Deliberately volatile: a restart
-        #: rebuilds it empty in :meth:`spawn_background`, so a rejoining
-        #: incarnation re-earns grants instead of reviving pre-crash ones.
-        self._lease: Optional[ReadLease] = None
-        self._lease_pushed: Optional[tuple[bool, int]] = None
-        self._reconcile_pending = False
-        self._announcer_task: Optional[asyncio.Task] = None
+        self._beacon_task: Optional[asyncio.Task] = None
+        #: Consecutive refused rejoin announcements (see
+        #: :meth:`_rejoin_sponsors`).
+        self._rejoin_refusals = 0
         #: Durable snapshot store; a restart reloads from it.  Use a
         #: :class:`~repro.core.durable.FileSnapshotStore` for state that
         #: must survive the *process* (the deployment story); the default
@@ -204,6 +196,9 @@ class AsyncServerNode:
         #: can tell a restarted incarnation from a reconnect.
         self.generation = 0
         self.proto = ServerProtocol(server_id, ring, config, durable=self.durable)
+        #: Host core of the running incarnation (built when the node
+        #: starts, once every peer's address is known).
+        self.core: Optional[HostCore] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._client_writers: dict[int, asyncio.StreamWriter] = {}
         self._inbound_writers: list[asyncio.StreamWriter] = []
@@ -242,31 +237,28 @@ class AsyncServerNode:
         self.spawn_background(trusting=True)
 
     def spawn_background(self, trusting: bool) -> None:
-        """Start the sender task and, in heartbeat mode, the detector.
-
-        ``trusting`` seeds the tracker's silence clocks: a cold start
-        trusts its peers for one timeout, a restart starts suspect-first
-        (the snapshot carries no liveness information, so nobody is
-        vouched for until a heartbeat actually arrives).
-        """
+        """Start the ring sender and this incarnation's host core: the
+        detector in heartbeat mode (``trusting`` seeds its silence
+        clocks; a restart starts suspect-first) and, after a restart,
+        the rejoin pump."""
+        self.core = core = self._new_core()
         self._tasks.append(asyncio.create_task(self._ring_sender()))
-        if self.fd != "heartbeat":
-            return
-        self._lease = (
-            ReadLease(self.hb_config.lease_duration)
-            if self.proto.config.read_leases
-            else None
+        self._track(
+            asyncio.create_task(
+                self._apply(chain(core.start(_now(), trusting), core.begin_rejoin()))
+            )
         )
-        self._lease_pushed = None
-        base = _now() if trusting else _now() - self.hb_config.timeout - 1e-9
-        self._tracker = HeartbeatTracker(
+
+    def _new_core(self) -> HostCore:
+        return HostCore(
+            self.server_id,
+            lambda: [self.proto],
+            self.proto.config,
             [sid for sid in sorted(self.addresses) if sid != self.server_id],
-            self.hb_config.timeout,
-            now=base,
-            imperfect=True,
+            self.hb_config,
+            self._rejoin_sponsors,
+            batching=True,  # the ring has a connection of its own
         )
-        self._tasks.append(asyncio.create_task(self._heartbeat_sender()))
-        self._tasks.append(asyncio.create_task(self._suspicion_checker()))
 
     async def stop(self) -> None:
         """Crash the server: abort every connection immediately."""
@@ -275,8 +267,6 @@ class AsyncServerNode:
             self._server.close()
         for task in self._tasks:
             task.cancel()
-        if self._announcer_task is not None:
-            self._announcer_task.cancel()
         writers = [
             self._ring_writer,
             *self._client_writers.values(),
@@ -312,8 +302,8 @@ class AsyncServerNode:
         self._session_peer: Optional[int] = None
         self._peer_sessions = {}
         self._peer_generations = {}
-        self._reconcile_pending = False
-        self._announcer_task = None
+        self._beacon_task = None
+        self._rejoin_refusals = 0
         self.proto = ServerProtocol.restore(
             self.server_id,
             sorted(self.addresses),
@@ -326,86 +316,86 @@ class AsyncServerNode:
         host, port = self.addresses[self.server_id]
         self._server = await asyncio.start_server(self._on_connection, host, port)
         self.spawn_background(trusting=False)
-        self._ensure_announcer()
 
-    async def _rejoin_announcer(self) -> None:
-        """Announce this restarted server to candidate sponsors until a
-        reconfiguration commit resumes it.
+    def _rejoin_sponsors(self, pending, attempt: int):
+        """Candidate sponsors for the core's rejoin pump: every other
+        server in turn.
 
-        Each attempt opens a short-lived connection (hello kind
-        ``rejoin``) to the next candidate, round-robin, pacing attempts
-        at ``_REJOIN_RETRY`` whether or not the candidate answered.
         With the paper's failure model a refused connection means that
-        server is down, so two full rounds of nothing-but-refusals mean
-        *nobody* is alive: the restarted server is the whole ring and
-        resumes alone from its snapshot, mirroring the simulator's
-        alone-restart.  Known limitation: if every server crashes and
-        several restart near-simultaneously, their listeners accept each
-        other's announcements (no refusal), each defers the other's
-        request while paused, and none takes the alone path — mass
-        cold-start recovery needs the quorum/epoch reconfiguration the
-        roadmap's partition-tolerance item calls for.
+        server is down, so two full rounds of nothing-but-refused
+        announcements mean *nobody* is alive: the restarted server is
+        the whole ring and resumes alone from its snapshot, mirroring
+        the simulator's alone-restart.  Under the heartbeat detector
+        silence could be a partition, and resuming alone without quorum
+        evidence would fork the register — keep announcing instead.
+        Known limitation: if every server crashes and several restart
+        near-simultaneously, their listeners accept each other's
+        announcements (no refusal), each defers the other's request
+        while paused, and none takes the alone path.
         """
         candidates = [sid for sid in sorted(self.addresses) if sid != self.server_id]
-        consecutive_refusals = 0
-        attempt = 0
-        while not self._stopped and self.proto.rejoining and candidates:
-            sponsor = candidates[attempt % len(candidates)]
-            attempt += 1
-            try:
-                _reader, writer = await asyncio.open_connection(
-                    *self.addresses[sponsor]
-                )
-                writer.write(_HELLO.pack(_KIND_REJOIN, self.server_id, self.generation))
-                writer.write(
-                    frame(
-                        encode_message(
-                            RejoinRequest(
-                                self.server_id,
-                                self.generation,
-                                self.proto.installed_epoch,
-                            )
-                        )
-                    )
-                )
-                await writer.drain()
-                writer.close()
-                consecutive_refusals = 0
-            except (ConnectionError, OSError):
-                consecutive_refusals += 1
-                if (
-                    self.fd != "heartbeat"
-                    and consecutive_refusals >= 2 * len(candidates)
-                ):
-                    # Perfect-detector reasoning only: a refused
-                    # connection *means* the peer is down, so a full
-                    # round of refusals means nobody is alive.  Under
-                    # the heartbeat detector silence could be a
-                    # partition, and resuming alone without quorum
-                    # evidence would fork the register — keep announcing
-                    # instead.
-                    self.proto.complete_rejoin_alone()
-                    self.proto.drain_replies()  # nobody is waiting across a restart
-                    self._ring_wake.set()
-                    return
-            await asyncio.sleep(_REJOIN_RETRY)
+        if not candidates or (
+            self.fd != "heartbeat"
+            and self._rejoin_refusals >= 2 * len(candidates)
+        ):
+            return None
+        return [candidates[attempt % len(candidates)]] * len(pending)
 
-    def _ensure_announcer(self) -> None:
-        """Keep a rejoin announcer running while the protocol rejoins.
+    # ------------------------------------------------------------------
+    # Host-core effects
+    # ------------------------------------------------------------------
 
-        Covers both a restarted server and a live one demoted by the
-        epoch guard (StaleEpochNotice / future-epoch evidence)."""
-        if not self.proto.rejoining or self._stopped:
-            return
-        if self._announcer_task is None or self._announcer_task.done():
-            self._announcer_task = asyncio.create_task(self._rejoin_announcer())
+    async def _apply(self, effects) -> None:
+        """Execute a core's effects in order.  Beacons and grants are
+        collected into one round of heartbeat-stream writes."""
+        core = self.core
+        beats: dict[int, list] = {}
+        for effect in effects:
+            kind = type(effect)
+            if kind is Post:
+                await self._dispatch_replies(effect.replies)
+                self._ring_wake.set()
+            elif kind is Kick:
+                self._ring_wake.set()
+            elif kind is ArmTimer:
+                self._track(asyncio.create_task(self._timer(core, effect)))
+            elif kind is Beacon:
+                beats.setdefault(effect.peer, []).append(Heartbeat(self.server_id))
+            elif kind is SendLease:
+                if isinstance(effect.message, LeaseRevoke):
+                    self._send_lease_revoke(effect.peer, effect.message)
+                else:
+                    beats.setdefault(effect.peer, []).append(effect.message)
+            # Count / Stepped / Suspected: this runtime keeps no trace.
+        if beats and (self._beacon_task is None or self._beacon_task.done()):
+            # A round still dialling a slow peer drops this one: silence
+            # is the signal, and overlapping dials would leak streams.
+            self._beacon_task = asyncio.create_task(self._beacon_round(beats))
+            self._track(self._beacon_task)
+
+    async def _timer(self, core: HostCore, timer: ArmTimer) -> None:
+        await asyncio.sleep(timer.delay)
+        if not self._stopped and core is self.core:
+            await self._apply(core.on_timer(timer.kind, timer.arg, _now()))
+
+    def _track(self, task: asyncio.Task) -> None:
+        """Register a background task, pruning finished ones.
+
+        Timers spawn tasks for the whole life of the node; without
+        pruning, a long partition would grow the list (and its retained
+        coroutine frames) without bound.
+        """
+        self._tasks = [t for t in self._tasks if not t.done()]
+        self._tasks.append(task)
 
     # ------------------------------------------------------------------
     # Imperfect failure detector (fd="heartbeat")
     # ------------------------------------------------------------------
 
-    async def _heartbeat_sender(self) -> None:
-        """Beacon to every peer each period over persistent connections.
+    async def _beacon_round(self, beats: dict[int, list]) -> None:
+        """Write each peer's heartbeat (and lease grant) on a persistent
+        heartbeat stream — raw frames, no session: a retransmitted beat
+        or grant is not freshness.
 
         A failed or slow dial simply drops the beat — silence *is* the
         signal — and the connection is re-attempted next period.  Every
@@ -414,83 +404,28 @@ class AsyncServerNode:
         the beacons every *other* peer relies on for our liveness.
         """
         budget = self.hb_config.period
-        while not self._stopped:
-            for peer in sorted(self.addresses):
-                if peer == self.server_id:
-                    continue
-                writer = self._hb_writers.get(peer)
-                if writer is None or writer.is_closing():
-                    try:
-                        _r, writer = await asyncio.wait_for(
-                            asyncio.open_connection(*self.addresses[peer]),
-                            timeout=budget,
-                        )
-                        writer.write(
-                            _HELLO.pack(_KIND_HB, self.server_id, self.generation)
-                        )
-                        self._hb_writers[peer] = writer
-                    except (ConnectionError, OSError, asyncio.TimeoutError):
-                        self._hb_writers.pop(peer, None)
-                        continue
+        for peer, messages in beats.items():
+            writer = self._hb_writers.get(peer)
+            if writer is None or writer.is_closing():
                 try:
-                    writer.write(frame(encode_message(Heartbeat(self.server_id))))
-                    if self._lease_granting and self.proto.may_grant_lease(peer):
-                        # Grants ride the raw heartbeat stream (no
-                        # session layer): a retransmitted grant must not
-                        # count as fresh, and the sent_at stamp makes a
-                        # delayed one expire on the holder's clock.
-                        writer.write(
-                            frame(
-                                encode_message(
-                                    LeaseGrant(
-                                        self.server_id,
-                                        self.proto.installed_epoch,
-                                        _now(),
-                                    )
-                                )
-                            )
-                        )
-                    await asyncio.wait_for(writer.drain(), timeout=budget)
+                    _r, writer = await asyncio.wait_for(
+                        asyncio.open_connection(*self.addresses[peer]),
+                        timeout=budget,
+                    )
+                    writer.write(_HELLO.pack(_KIND_HB, self.server_id, self.generation))
+                    self._hb_writers[peer] = writer
                 except (ConnectionError, OSError, asyncio.TimeoutError):
-                    writer.close()
                     self._hb_writers.pop(peer, None)
-            await asyncio.sleep(self.hb_config.period)
+                    continue
+            try:
+                for message in messages:
+                    writer.write(frame(encode_message(message)))
+                await asyncio.wait_for(writer.drain(), timeout=budget)
+            except (ConnectionError, OSError, asyncio.TimeoutError):
+                writer.close()
+                self._hb_writers.pop(peer, None)
 
-    @property
-    def _lease_granting(self) -> bool:
-        return (
-            self.proto.config.read_leases
-            and self.hb_config is not None
-            and self.hb_config.grant_leases
-        )
-
-    async def _suspicion_checker(self) -> None:
-        """Poll the tracker and feed suspicion transitions to the protocol."""
-        while not self._stopped:
-            await asyncio.sleep(self.hb_config.check_interval)
-            if self._stopped:
-                return
-            for peer in self._tracker.check(_now()):
-                if self._lease_granting:
-                    self._send_lease_revoke(peer)
-                await self._dispatch_replies(self.proto.on_suspect(peer))
-                self._after_step()
-            # Periodic validity recheck: grants expire by clock, not by
-            # any arriving message, so the checker is what notices.
-            await self._sync_lease()
-
-    async def _on_heartbeat(self, peer: int) -> None:
-        if self._tracker is None:
-            return
-        if self._tracker.heard_from(peer, _now()):
-            await self._dispatch_replies(self.proto.on_unsuspect(peer))
-            self._after_step()
-
-    # ------------------------------------------------------------------
-    # Read leases (fd="heartbeat" + config.read_leases)
-    # ------------------------------------------------------------------
-
-    def _send_lease_revoke(self, peer: int) -> None:
+    def _send_lease_revoke(self, peer: int, message: LeaseRevoke) -> None:
         """Best-effort immediate revoke on new suspicion.
 
         Rides the existing heartbeat connection if one survives; when it
@@ -501,101 +436,14 @@ class AsyncServerNode:
         if writer is None or writer.is_closing():
             return
         try:
-            writer.write(
-                frame(
-                    encode_message(
-                        LeaseRevoke(self.server_id, self.proto.installed_epoch)
-                    )
-                )
-            )
+            writer.write(frame(encode_message(message)))
         except (ConnectionError, OSError):
             self._hb_writers.pop(peer, None)
 
-    async def _sync_lease(self) -> None:
-        """Re-derive lease validity and push transitions to the protocol."""
-        if self._lease is None:
-            return
-        proto = self.proto
-        self._lease.set_required(
-            [sid for sid in proto.installed_view.alive() if sid != self.server_id]
-        )
-        epoch = proto.installed_epoch
-        valid = self._lease.valid(_now(), epoch)
-        if self._lease_pushed == (valid, epoch):
-            return
-        self._lease_pushed = (valid, epoch)
-        await self._dispatch_replies(proto.on_lease_update(valid, epoch))
-        self._ring_wake.set()
-
-    def _schedule_lease_waitout(self, epoch: int) -> None:
-        self._track(
-            asyncio.create_task(self._lease_waitout(epoch, self.generation))
-        )
-
-    async def _lease_waitout(self, epoch: int, generation: int) -> None:
-        """Fire the old-epoch lease wait-out after its provable bound."""
-        await asyncio.sleep(self.hb_config.waitout())
-        if self._stopped or self.generation != generation:
-            return
-        await self._dispatch_replies(self.proto.lease_waitout_elapsed(epoch))
-        self._after_step()
-        self._ring_wake.set()
-
-    def _track(self, task: asyncio.Task) -> None:
-        """Register a background task, pruning finished ones.
-
-        Reconcile cycles and watchdog re-arms spawn tasks for the whole
-        life of the node; without pruning, a long partition would grow
-        the list (and its retained coroutine frames) without bound.
-        """
-        self._tasks = [t for t in self._tasks if not t.done()]
-        self._tasks.append(task)
-
-    def _after_step(self) -> None:
-        """Post-handler hook: reconcile timers and the rejoin announcer."""
-        proto = self.proto
-        if not proto.config.view_quorum:
-            return
-        if proto.rejoining:
-            self._ensure_announcer()
-        if proto.lease_waitout_due:
-            proto.lease_waitout_due = False
-            self._schedule_lease_waitout(proto.installed_epoch)
-        if proto.reconcile_due:
-            proto.reconcile_due = False
-            if not self._reconcile_pending:
-                self._reconcile_pending = True
-                self._track(
-                    asyncio.create_task(
-                        self._reconcile_later(self.hb_config.propose_grace)
-                    )
-                )
-        self._ring_wake.set()
-
-    async def _reconcile_later(self, delay: float) -> None:
-        await asyncio.sleep(delay)
-        self._reconcile_pending = False
-        if self._stopped:
-            return
-        await self._dispatch_replies(self.proto.propose_reconfig())
-        self._after_step()
-        proto = self.proto
-        if proto.paused and not proto.rejoining and (
-            proto._suspicion_paused or proto._attempt_nonce is not None
-        ):
-            # Watchdog: re-evaluate while blocked (an attempt can die
-            # silently with a crashed hop; a quorum stall heals only
-            # when the detector changes its mind).
-            if not self._reconcile_pending:
-                self._reconcile_pending = True
-                self._track(
-                    asyncio.create_task(
-                        self._reconcile_later(4 * self.hb_config.propose_grace)
-                    )
-                )
-
     async def _send_control(self, destination: int, message) -> None:
-        """Best-effort out-of-ring-order frame (stale-epoch notices)."""
+        """Best-effort out-of-ring-order frame (rejoin announcements,
+        stale-epoch notices), one per short-lived connection."""
+        announce = isinstance(message, RejoinRequest)
         try:
             _r, writer = await asyncio.open_connection(*self.addresses[destination])
             writer.write(_HELLO.pack(_KIND_REJOIN, self.server_id, self.generation))
@@ -603,7 +451,12 @@ class AsyncServerNode:
             await writer.drain()
             writer.close()
         except (ConnectionError, OSError):
-            pass  # advisory traffic; the guard re-triggers it
+            # Advisory traffic: the guard or the rejoin pump re-sends it.
+            if announce:
+                self._rejoin_refusals += 1
+            return
+        if announce:
+            self._rejoin_refusals = 0
 
     # ------------------------------------------------------------------
     # Inbound connections
@@ -628,18 +481,11 @@ class AsyncServerNode:
                         break
                     message = decode_message(payload)
                     if isinstance(message, Heartbeat):
-                        await self._on_heartbeat(message.server_id)
-                    elif isinstance(message, LeaseGrant) and self._lease is not None:
-                        # Freshness runs from the grantor's sent_at, so
-                        # a grant that sat in a dead link arrives
-                        # already-expired instead of reviving a lease.
-                        self._lease.grant(
-                            message.grantor, message.epoch, message.sent_at
+                        await self._apply(
+                            self.core.on_heartbeat(message.server_id, _now())
                         )
-                        await self._sync_lease()
-                    elif isinstance(message, LeaseRevoke) and self._lease is not None:
-                        self._lease.revoke(message.grantor)
-                        await self._sync_lease()
+                    elif isinstance(message, (LeaseGrant, LeaseRevoke)):
+                        await self._apply(self.core.on_lease_message(message, _now()))
             except (ConnectionError, asyncio.CancelledError):
                 pass
             finally:
@@ -657,7 +503,8 @@ class AsyncServerNode:
                         decode_message(payload), int(peer_id)
                     )
                     await self._dispatch_replies(replies)
-                    self._after_step()
+                    if self.core.guarded:  # post-step policy
+                        await self._apply(self.core.after_step())
                     self._ring_wake.set()
             except (ConnectionError, asyncio.CancelledError):
                 pass
@@ -700,10 +547,11 @@ class AsyncServerNode:
                     for message in session.on_segment(segment, _now()):
                         if kind == _KIND_RING:
                             replies = self.proto.on_ring_message(message, int(peer_id))
-                            self._after_step()
                         else:
                             replies = self.proto.on_client_message(peer_id, message)
                         await self._dispatch_replies(replies)
+                        if self.core.guarded:  # post-step policy
+                            await self._apply(self.core.after_step())
                         self._ring_wake.set()
                 if session.ack_owed:
                     # No reverse traffic carried the ack (ring links are
@@ -740,18 +588,8 @@ class AsyncServerNode:
 
     async def _ring_sender(self) -> None:
         while not self._stopped:
-            directed = self.proto.next_directed_message()
-            if directed is not None:
-                destination, out_of_band = directed
-                await self._send_control(destination, out_of_band)
-                continue
-            limit = self.proto.config.batch_max_messages
-            if limit > 1:
-                batch = self.proto.next_ring_batch(limit)
-            else:
-                message = self.proto.next_ring_message()
-                batch = [] if message is None else [message]
-            if not batch:
+            ring_frame = self.core.next_ring_frame(self.proto)
+            if ring_frame is None:
                 if (
                     self.fd == "heartbeat"
                     and self._ring_session.in_flight
@@ -774,7 +612,10 @@ class AsyncServerNode:
                     continue
                 await self._ring_wake.wait()
                 continue
-            successor = self.proto.successor
+            successor, batch, directed = ring_frame
+            if directed:
+                await self._send_control(successor, batch[0])
+                continue
             if self._session_peer != successor:
                 # A different successor is a different channel: fresh
                 # seqs.  Reset happens *before* the message enters the
@@ -827,7 +668,7 @@ class AsyncServerNode:
         # seams what TCP does within one connection.  The replay is
         # chunked into batch frames like a fresh burst would be.
         unacked = list(self._ring_session.unacked_segments())
-        chunk_size = max(1, self.proto.config.batch_max_messages)
+        chunk_size = self.core.batch_limit
         for start in range(0, len(unacked), chunk_size):
             writer.write(_segments_frame(unacked[start : start + chunk_size]))
         await writer.drain()

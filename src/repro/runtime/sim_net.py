@@ -39,8 +39,6 @@ from repro.core.durable import MemorySnapshotStore
 from repro.core.messages import (
     ClientMessage,
     Heartbeat,
-    LeaseGrant,
-    LeaseRevoke,
     OpId,
     payload_size,
 )
@@ -48,8 +46,20 @@ from repro.core.ring import RingView
 from repro.core.server import ServerProtocol
 from repro.core.tags import Tag
 from repro.errors import ConfigurationError, SimulationError
-from repro.fd.heartbeat import HeartbeatConfig, HeartbeatTracker, ReadLease
+from repro.fd.heartbeat import HeartbeatConfig
 from repro.fd.perfect import PerfectFailureDetector
+from repro.runtime.host import (
+    ArmTimer,
+    Beacon,
+    Count,
+    HostCore,
+    Kick,
+    Post,
+    SendLease,
+    Stepped,
+    Suspected,
+    ring_batch_limit,
+)
 from repro.runtime.interface import (
     CancelTimer,
     Complete,
@@ -68,15 +78,9 @@ from repro.sim.counters import (
     EPOCH_QUORUM_STALLS,
     EPOCH_REJECTED_RECONFIGS,
     EPOCH_STALE_DROPPED,
-    FD_SUSPICIONS,
-    FD_UNSUSPECTS,
     FD_WRONG_SUSPICIONS,
-    LEASE_EXPIRED,
     LEASE_FALLBACKS,
-    LEASE_GRANTED,
     LEASE_LOCAL_READS,
-    LEASE_RENEWED,
-    LEASE_REVOKED,
     LEASE_WAITOUTS,
     RELIABLE_ABANDONED,
     RELIABLE_ACKS,
@@ -109,23 +113,6 @@ from repro.transport.reliable import (
 #: wire-borne messages from the dead server land before reconfiguration
 #: starts (the synchrony assumption behind the paper's perfect detector).
 DEFAULT_DETECTION_DELAY = 0.005
-
-#: Batch-depth budget per full ring traversal: the effective ring-frame
-#: batch is ``min(batch_max_messages, BATCH_DEPTH_RING_BUDGET // n)``.
-#: 16 keeps the default depth of 4 intact up to the paper's 4-server
-#: midpoint and degenerates to 2 at n=8, where deeper frames measurably
-#: cost contended read throughput (see SimCluster.batch_limit).
-BATCH_DEPTH_RING_BUDGET = 16
-
-#: Rejoin announcement retry cadence: a restarted server re-announces
-#: itself (to a different sponsor each attempt, round-robin) until a
-#: reconfiguration commit resumes it.  The initial period comfortably
-#: exceeds a healthy reconfiguration round trip, and the backoff keeps a
-#: rejoiner stuck behind a long fault window from spraying announcements
-#: that would each trigger a redundant reconfiguration at heal time.
-REJOIN_RETRY_INITIAL = 0.25
-REJOIN_RETRY_MAX = 1.0
-
 
 @dataclass(frozen=True)
 class OpResult:
@@ -244,27 +231,24 @@ class _HostBase(SimProcess):
             nic.rx.purge()
 
 
-class ServerHost(_HostBase):
-    """Hosts one :class:`ServerProtocol` on the simulated network.
+class _ServerHostBase(_HostBase):
+    """A server machine on the simulated network: executes its
+    :class:`~repro.runtime.host.HostCore`'s effects.
 
-    Replies are queued per destination client *machine* and served
-    round-robin, modelling per-TCP-connection fairness in a real kernel:
-    a writer machine's (tiny) acks are not starved behind another
-    machine's (bulk) read replies.
+    Subclasses supply the protocol instances (:meth:`all_protos`), the
+    ring drain (``_ring_source``) and the reply queue (``_reply_source``,
+    ``_post``).  Everything a host decides around its protocols —
+    reconcile and lease wait-out timers, the rejoin pump, heartbeats and
+    the read lease — is the core's; this class only turns the core's
+    effects into scheduler timers, out-loop kicks and nemesis-routed
+    unicasts.
     """
 
-    def __init__(self, cluster: "SimCluster", server_id: int, proto: ServerProtocol):
+    def __init__(self, cluster: "SimCluster", server_id: int):
         super().__init__(cluster, f"s{server_id}")
         self.server_id = server_id
-        self.proto = proto
-        self._reply_queues: dict[str, deque[Reply]] = {}
-        self._reply_rr: deque[str] = deque()
-        #: Generation of the running rejoin-announcement pump, if any
-        #: (see :meth:`SimCluster.begin_rejoin`).
-        self._rejoin_pump_gen: Optional[int] = None
         #: Last-mirrored protocol stats, for trace-counter deltas.
         self._mirrored_stats: dict[str, int] = {}
-
         nics = cluster.topo.nics[self.name]
         if cluster.config.topology == "dual":
             self.nic_ring = nics["srv"]
@@ -280,11 +264,141 @@ class ServerHost(_HostBase):
             self._loops.append(
                 _OutLoop(self, nic, [self._ring_source, self._reply_source])
             )
+        self.core = self._new_core()
+
+    def _new_core(self) -> HostCore:
+        cluster = self.cluster
+        config = cluster.config
+        return HostCore(
+            self.server_id,
+            self.all_protos,
+            config.protocol,
+            [sid for sid in range(config.num_servers) if sid != self.server_id],
+            config.heartbeat if config.fd == "heartbeat" else None,
+            self._rejoin_sponsors,
+            batching=cluster.reliable is not None
+            and self.nic_ring is not self.nic_client,
+        )
+
+    def local_now(self) -> float:
+        """This server's local clock: fabric time plus any nemesis skew."""
+        return self.env.now + self.cluster.nemesis.clock_offset(self.name)
+
+    def _rejoin_sponsors(self, pending, attempt: int):
+        """Candidate sponsors for the core's rejoin pump."""
+        cluster = self.cluster
+        if cluster.config.fd == "heartbeat":
+            # No aliveness oracle: announce to every other member in
+            # turn; frames to the dead die in transit, and "nobody is
+            # alive" is indistinguishable from a partition, so there is
+            # deliberately no resume-alone shortcut here.
+            sponsors = [sid for sid in sorted(cluster.servers) if sid != self.server_id]
+        else:
+            sponsors = [
+                sid
+                for sid, other in cluster.servers.items()
+                if sid != self.server_id and other.alive
+            ]
+            if not sponsors:
+                return None  # the perfect detector says nobody is alive
+        return [sponsors[attempt % len(sponsors)]] * len(pending)
+
+    # -- effects ---------------------------------------------------------
+
+    def _apply(self, effects) -> None:
+        """Execute a core's effects in order (each before the core's
+        next protocol call)."""
+        for effect in effects:
+            kind = type(effect)
+            if kind is Post:
+                self._post(effect.replies)
+            elif kind is Kick:
+                self.kick()
+            elif kind is ArmTimer:
+                self.env.scheduler.schedule(
+                    effect.delay, self._on_core_timer, self.core, effect.kind, effect.arg
+                )
+            elif kind is Count:
+                self.env.trace.count(effect.name, effect.amount)
+            elif kind is Stepped:
+                self.cluster.mirror_protocol_stats(self)
+            elif kind is Beacon:
+                self._send_detector_message(effect.peer, Heartbeat(self.server_id))
+            elif kind is SendLease:
+                self._send_detector_message(effect.peer, effect.message)
+            elif kind is Suspected:
+                # The score the chaos gate relies on: a suspicion of a
+                # host that is actually alive proves the run exercised
+                # the wrongly-suspected-but-alive scenario.
+                if self.cluster.servers[effect.peer].alive:
+                    self.env.trace.count(FD_WRONG_SUSPICIONS)
+            else:  # pragma: no cover - defensive
+                raise SimulationError(f"unknown host effect {effect!r}")
+
+    def after_step(self) -> None:
+        """Post-handler hook; a single check under the perfect detector."""
+        if self.core.guarded:
+            self._apply(self.core.after_step())
+
+    def _on_core_timer(self, core: HostCore, kind: str, arg) -> None:
+        if self.alive and core is self.core:  # else: a past incarnation's
+            self._apply(core.on_timer(kind, arg, self.local_now()))
+
+    def _send_detector_message(self, peer: int, message) -> None:
+        """Heartbeats and lease grants/revokes bypass the reliable layer
+        (a retransmitted beacon or grant is not a freshness signal) but
+        ride the nemesis-routed fabric, so partitions, drops, pauses and
+        throttles attack them like everything else — which is exactly
+        how wrong suspicion arises."""
+        src_nic, dst_nic, network = self.cluster.topo.nic_for(self.name, f"s{peer}")
+        network.unicast(
+            src_nic,
+            dst_nic,
+            payload_size(message),
+            message,
+            self.cluster.servers[peer]._on_detector_message,
+        )
+
+    def _on_detector_message(self, message) -> None:
+        if not self.alive:
+            return
+        if isinstance(message, Heartbeat):
+            self._apply(self.core.on_heartbeat(message.server_id, self.local_now()))
+        else:
+            self._apply(self.core.on_lease_message(message, self.local_now()))
+
+    def start_detector(self) -> None:
+        """Cold-start this host's heartbeat detector (cluster build)."""
+        self._apply(self.core.start(self.local_now(), trusting=True))
+
+    def _restart_core(self) -> None:
+        """A new incarnation: fresh core (suspect-first detector, no
+        lease), then the rejoin pump."""
+        self._mirrored_stats = {}
+        self.core = self._new_core()
+        self._apply(self.core.start(self.local_now(), trusting=False))
+        self._apply(self.core.begin_rejoin())
+        self.kick()
+
+
+class ServerHost(_ServerHostBase):
+    """Hosts one :class:`ServerProtocol` on the simulated network.
+
+    Replies are queued per destination client *machine* and served
+    round-robin, modelling per-TCP-connection fairness in a real kernel:
+    a writer machine's (tiny) acks are not starved behind another
+    machine's (bulk) read replies.
+    """
+
+    def __init__(self, cluster: "SimCluster", server_id: int, proto: ServerProtocol):
+        super().__init__(cluster, server_id)
+        self.proto = proto
+        self._reply_queues: dict[str, deque[Reply]] = {}
+        self._reply_rr: deque[str] = deque()
 
     def all_protos(self) -> list[ServerProtocol]:
         """Uniform surface shared with the sharded host (one protocol
-        instance per block there): the cluster's rejoin pump, reconcile
-        timers and stat mirroring iterate this instead of ``.proto``."""
+        instance per block there): the host core iterates this."""
         return [self.proto]
 
     # -- inbound ------------------------------------------------------
@@ -293,7 +407,7 @@ class ServerHost(_HostBase):
         if not self.alive:
             return
         self._post(self.proto.on_ring_message(message, sender))
-        self.cluster.after_protocol_step(self)
+        self.after_step()
 
     def receive_client(self, client_id: int, message: ClientMessage) -> None:
         if not self.alive:
@@ -302,26 +416,12 @@ class ServerHost(_HostBase):
         # A leased read completes with zero ring traffic, so the stat
         # mirror cannot wait for the next ring receipt — under heartbeat
         # mode the trace would undercount local reads forever.
-        self.cluster.after_protocol_step(self)
+        self.after_step()
 
     def notify_crash(self, crashed_id: int) -> None:
         if not self.alive:
             return
         self._post(self.proto.on_server_crash(crashed_id))
-
-    def notify_suspect(self, peer: int) -> None:
-        """Imperfect-detector suspicion (may be wrong)."""
-        if not self.alive:
-            return
-        self._post(self.proto.on_suspect(peer))
-        self.cluster.after_protocol_step(self)
-
-    def notify_unsuspect(self, peer: int) -> None:
-        """A suspected peer's heartbeat arrived: suspicion withdrawn."""
-        if not self.alive:
-            return
-        self._post(self.proto.on_unsuspect(peer))
-        self.cluster.after_protocol_step(self)
 
     # -- restart (crash recovery) --------------------------------------
 
@@ -331,8 +431,9 @@ class ServerHost(_HostBase):
         Volatile state — the protocol object, reply queues, NIC queues
         (purged at crash) — is gone; the cluster rebuilds the protocol
         from the snapshot store, re-opens the reliable channels (a
-        restart is a new connection on every link) and drives the rejoin
-        handshake until a reconfiguration folds the server back in.
+        restart is a new connection on every link) and a fresh host core
+        drives the rejoin handshake until a reconfiguration folds the
+        server back in.
         """
         if self._alive:
             return
@@ -340,52 +441,18 @@ class ServerHost(_HostBase):
         super().restart()
         self._reply_queues.clear()
         self._reply_rr.clear()
-        self._rejoin_pump_gen = None
-        self._mirrored_stats = {}
         self.proto = self.cluster.restore_server_protocol(self.server_id, self.restarts)
-        if self.cluster.hb is not None:
-            # Fresh tracker and loops for the new incarnation (the
-            # generation guard retires the old ones).
-            self.cluster.hb.reset_server(self.server_id)
-        self.cluster.begin_rejoin(self)
-        self.kick()
+        self._restart_core()
 
     # -- outbound sources ----------------------------------------------
 
-    @property
-    def ring_batch_limit(self) -> int:
-        """Ring-frame batching applies on a *dedicated* ring NIC only.
-
-        On the shared topology the ring and the client replies round-
-        robin frame-by-frame over one transmit port, so a k-message ring
-        frame would take a k-fold bandwidth share and starve read
-        replies (figure 3d's balance).  Batching there is a fairness
-        regression, not an optimisation — the limit degenerates to 1.
-        """
-        if self.nic_ring is self.nic_client:
-            return 1
-        return self.cluster.batch_limit
-
     def _ring_source(self):
-        directed = self.proto.next_directed_message()
-        if directed is not None:
-            # Out-of-ring-order traffic: rejoin announcements (the
-            # rejoiner is not part of anyone's ring yet), stale-epoch
-            # notices, and view-proposal tokens whose first hop differs
-            # from the installed successor.
-            destination, message = directed
-            return (f"s{destination}", message, "ring")
-        limit = self.ring_batch_limit
-        if limit > 1:
-            batch = self.proto.next_ring_batch(limit)
-            if not batch:
-                return None
-            payload = batch[0] if len(batch) == 1 else batch
-            return (f"s{self.proto.successor}", payload, "ring")
-        message = self.proto.next_ring_message()
-        if message is None:
+        frame = self.core.next_ring_frame(self.proto)
+        if frame is None:
             return None
-        return (f"s{self.proto.successor}", message, "ring")
+        destination, messages, _directed = frame
+        payload = messages[0] if len(messages) == 1 else messages
+        return (f"s{destination}", payload, "ring")
 
     def _reply_source(self):
         while self._reply_rr:
@@ -806,214 +873,6 @@ class _ReliableLinkLayer:
             handle.cancel()
 
 
-class _HeartbeatDriver:
-    """Imperfect failure detection over the simulated network.
-
-    Every server beacons a :class:`~repro.core.messages.Heartbeat` to
-    every other server each ``period``, *through the nemesis-routed
-    fabric* — partitions hold or drop heartbeats, pauses freeze them and
-    throttles slow them, which is exactly how wrong suspicion arises —
-    and *outside* the reliable session layer, because a retransmitted
-    heartbeat is not a freshness signal.  Each server owns a
-    :class:`~repro.fd.heartbeat.HeartbeatTracker` in imperfect mode; a
-    check loop polls it every ``check_interval`` and feeds suspicion
-    transitions to the server protocol (``on_suspect``/``on_unsuspect``).
-
-    The driver also keeps the score the chaos gate relies on: a
-    suspicion raised against a host that is actually alive increments
-    ``fd.wrong_suspicions`` — in-simulation proof that a run exercised
-    the wrongly-suspected-but-alive scenario.
-    """
-
-    def __init__(self, cluster: "SimCluster", config: HeartbeatConfig):
-        self.cluster = cluster
-        self.env = cluster.env
-        self.config = config
-        self.trackers: dict[int, HeartbeatTracker] = {}
-        #: Read-lease mode (config.protocol.read_leases): grants ride the
-        #: heartbeat beacons, each server holds a :class:`ReadLease`, and
-        #: validity transitions are pushed into the protocol(s).
-        self.lease_mode = cluster.config.protocol.read_leases
-        self.leases: dict[int, ReadLease] = {}
-        #: Last (valid, epoch) pushed per server, so only transitions —
-        #: not every periodic check — reach the state machines.
-        self._lease_pushed: dict[int, tuple[bool, int]] = {}
-        for server_id in cluster.servers:
-            self._start(server_id, cluster.servers[server_id].restarts)
-
-    def reset_server(self, server_id: int) -> None:
-        """A server restarted: fresh tracker, fresh loops.
-
-        The fresh tracker starts *suspect-first*: a snapshot carries no
-        liveness information, so until a peer's heartbeat actually
-        arrives the restarted server must not vouch for it — a trusting
-        tracker would let it propose re-admitting a peer that died while
-        it was down, and the token would die at the corpse.  Live peers
-        clear within one heartbeat period.
-        """
-        self._start(
-            server_id, self.cluster.servers[server_id].restarts, trusting=False
-        )
-
-    def _start(self, server_id: int, generation: int, trusting: bool = True) -> None:
-        peers = [sid for sid in self.cluster.servers if sid != server_id]
-        # Suspect-first posture is expressed through the silence clocks:
-        # pre-aged past the timeout, every peer trips the first check,
-        # and only an actual heartbeat rehabilitates it.  All of this
-        # server's clock readings go through its (possibly nemesis-
-        # skewed) local clock, heartbeat receipt and lease checks alike.
-        local = self._local_now(server_id)
-        base = local if trusting else local - self.config.timeout - 1e-9
-        self.trackers[server_id] = HeartbeatTracker(
-            peers, self.config.timeout, now=base, imperfect=True
-        )
-        if self.lease_mode:
-            # Lease state is volatile by design (docs/leases.md): a new
-            # incarnation re-earns every grant from scratch.
-            self.leases[server_id] = ReadLease(self.config.lease_duration)
-            self._lease_pushed.pop(server_id, None)
-        self._send_loop(server_id, generation)
-        self.env.scheduler.schedule(
-            self.config.check_interval, self._check_loop, server_id, generation
-        )
-
-    def _live(self, server_id: int, generation: int):
-        host = self.cluster.servers.get(server_id)
-        if host is None or not host.alive or host.restarts != generation:
-            return None
-        return host
-
-    def _send_loop(self, server_id: int, generation: int) -> None:
-        host = self._live(server_id, generation)
-        if host is None:
-            return
-        granting = self.lease_mode and self.config.grant_leases
-        for peer in self.cluster.servers:
-            if peer != server_id:
-                self._beacon(server_id, peer)
-                if granting and all(
-                    proto.may_grant_lease(peer) for proto in host.all_protos()
-                ):
-                    self._send_lease(host, peer, LeaseGrant)
-        self.env.scheduler.schedule(
-            self.config.period, self._send_loop, server_id, generation
-        )
-
-    def _beacon(self, src: int, dst: int) -> None:
-        message = Heartbeat(src)
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(f"s{src}", f"s{dst}")
-        network.unicast(
-            src_nic,
-            dst_nic,
-            payload_size(message),
-            message,
-            lambda m, dst=dst: self._on_heartbeat(dst, m),
-        )
-
-    def _on_heartbeat(self, dst: int, message: Heartbeat) -> None:
-        host = self.cluster.servers.get(dst)
-        if host is None or not host.alive:
-            return
-        tracker = self.trackers.get(dst)
-        if tracker is None:
-            return
-        if tracker.heard_from(message.server_id, self._local_now(dst)):
-            self.env.trace.count(FD_UNSUSPECTS)
-            host.notify_unsuspect(message.server_id)
-
-    def _check_loop(self, server_id: int, generation: int) -> None:
-        host = self._live(server_id, generation)
-        if host is None:
-            return
-        tracker = self.trackers[server_id]
-        for peer in tracker.check(self._local_now(server_id)):
-            self.env.trace.count(FD_SUSPICIONS)
-            peer_host = self.cluster.servers.get(peer)
-            if peer_host is not None and peer_host.alive:
-                self.env.trace.count(FD_WRONG_SUSPICIONS)
-            host.notify_suspect(peer)
-            if self.lease_mode and self.config.grant_leases:
-                # Best-effort prompt revocation: the holder's freshness
-                # clock is the safety mechanism; this only shortens the
-                # serving window when the revoke gets through.
-                self._send_lease(host, peer, LeaseRevoke)
-        if self.lease_mode:
-            self._sync_lease(host, count_expiry=True)
-        self.env.scheduler.schedule(
-            self.config.check_interval, self._check_loop, server_id, generation
-        )
-
-    # -- read leases ---------------------------------------------------
-
-    def _local_now(self, server_id: int) -> float:
-        """This server's local clock: fabric time plus any nemesis skew."""
-        return self.env.now + self.cluster.nemesis.clock_offset(f"s{server_id}")
-
-    def _send_lease(self, host, peer: int, message_cls) -> None:
-        """Send a grant or revoke to ``peer`` — outside the reliable
-        layer (a retransmitted grant would be a forged freshness signal)
-        but through the nemesis-routed fabric, so partitions, drops and
-        pauses attack lease traffic like everything else."""
-        epoch = min(proto.installed_epoch for proto in host.all_protos())
-        if message_cls is LeaseGrant:
-            message = LeaseGrant(host.server_id, epoch, self._local_now(host.server_id))
-        else:
-            message = LeaseRevoke(host.server_id, epoch)
-        src_nic, dst_nic, network = self.cluster.topo.nic_for(host.name, f"s{peer}")
-        network.unicast(
-            src_nic,
-            dst_nic,
-            payload_size(message),
-            message,
-            lambda m, dst=peer: self._on_lease_message(dst, m),
-        )
-
-    def _on_lease_message(self, dst: int, message) -> None:
-        host = self.cluster.servers.get(dst)
-        lease = self.leases.get(dst)
-        if host is None or not host.alive or lease is None:
-            return
-        required = self._required_grantors(host)
-        lease.set_required(required)
-        if isinstance(message, LeaseRevoke):
-            lease.revoke(message.grantor)
-            self.env.trace.count(LEASE_REVOKED)
-        elif message.grantor in required:
-            newly = lease.grant(message.grantor, message.epoch, message.sent_at)
-            self.env.trace.count(LEASE_GRANTED if newly else LEASE_RENEWED)
-        self._sync_lease(host)
-
-    def _required_grantors(self, host) -> set[int]:
-        """Grantors the holder's lease needs: every other alive member
-        of its installed view(s) — the union across blocks on a sharded
-        host, which can only over-require (strictly safe)."""
-        required: set[int] = set()
-        for proto in host.all_protos():
-            required.update(proto.installed_view.alive())
-        required.discard(host.server_id)
-        return required
-
-    def _sync_lease(self, host, count_expiry: bool = False) -> None:
-        """Re-evaluate the holder's lease and push transitions into the
-        protocol(s).  ``count_expiry`` marks the periodic path, where a
-        valid-to-invalid flip means grants aged out."""
-        lease = self.leases.get(host.server_id)
-        if lease is None:
-            return
-        lease.set_required(self._required_grantors(host))
-        epoch = min(proto.installed_epoch for proto in host.all_protos())
-        valid = lease.valid(self._local_now(host.server_id), epoch)
-        last = self._lease_pushed.get(host.server_id)
-        if last == (valid, epoch):
-            return
-        if count_expiry and last is not None and last[0] and not valid:
-            self.env.trace.count(LEASE_EXPIRED)
-        self._lease_pushed[host.server_id] = (valid, epoch)
-        for proto in host.all_protos():
-            host._post(proto.on_lease_update(valid, epoch))
-        host.kick()
-
-
 class SimCluster:
     """A simulated storage cluster: ring servers plus dynamic clients.
 
@@ -1056,14 +915,12 @@ class SimCluster:
         )
         self.ring = RingView.initial(config.num_servers)
         #: Perfect-oracle detector (``fd="perfect"``) or None under the
-        #: heartbeat detector, where suspicion comes from missed beacons.
+        #: heartbeat detector, where each host's core suspects peers
+        #: from missed beacons.
         self.fd: Optional[PerfectFailureDetector] = None
-        #: Heartbeat driver (``fd="heartbeat"``) or None.
-        self.hb: Optional[_HeartbeatDriver] = None
         if config.fd == "perfect":
             self.fd = PerfectFailureDetector(self.env, config.detection_delay)
             self.fd.subscribe(self._fd_notify)
-        self._reconcile_timers: dict[int, bool] = {}
         self.clients: dict[int, ClientHost] = {}
         self._host_by_client_id: dict[int, ClientHost] = {}
         self._next_client_id = 0
@@ -1093,26 +950,20 @@ class SimCluster:
             host.on_crash(self._server_crashed)
             self.servers[server_id] = host
         if config.fd == "heartbeat":
-            self.hb = _HeartbeatDriver(self, config.heartbeat)
+            for host in self.servers.values():
+                host.start_detector()
 
     @property
     def batch_limit(self) -> int:
-        """Ring messages per wire frame.  Batching is a session-layer
-        feature; raw-fabric clusters (``reliable=False``) send one
-        message per frame regardless of the knob.
-
-        The knob is additionally capped by ring size: a frame is stored
-        and forwarded whole at every hop, so the extra latency a k-deep
-        batch adds to a full traversal grows with k*n.  Past
-        ``BATCH_DEPTH_RING_BUDGET`` that latency reaches commit-blocked
-        readers (figure 3c's contended linearity sags ~5 % at n=8 with
-        k=4, measured); bounding k*n keeps the batch a framing
-        optimisation at every cluster size.
-        """
+        """Ring messages per wire frame (the reliable layer chunks
+        retransmissions by it).  Batching is a session-layer feature;
+        raw-fabric clusters (``reliable=False``) send one message per
+        frame regardless of the knob."""
         if self.reliable is None:
             return 1
-        knob = self.config.protocol.batch_max_messages
-        return min(knob, max(1, BATCH_DEPTH_RING_BUDGET // self.config.num_servers))
+        return ring_batch_limit(
+            self.config.protocol.batch_max_messages, self.config.num_servers
+        )
 
     @staticmethod
     def _default_host_factory(cluster: "SimCluster", server_id: int) -> "ServerHost":
@@ -1401,100 +1252,13 @@ class SimCluster:
             generation=generation,
         )
 
-    def begin_rejoin(self, host) -> None:
-        """Drive the rejoin announcements for a rejoining server.
-
-        Started after a restart, and — under the imperfect detector —
-        when a live server demoted by a :class:`StaleEpochNotice` must
-        announce itself back in.  At most one pump runs per host
-        incarnation (``host.restarts``); on a sharded host the one pump
-        announces for every still-rejoining block.
-        """
-        if host._rejoin_pump_gen != host.restarts and any(
-            proto.rejoining for proto in host.all_protos()
-        ):
-            host._rejoin_pump_gen = host.restarts
-            self._pump_rejoin(host, host.restarts, 0)
-
-    def _pump_rejoin(self, host, generation: int, attempt: int) -> None:
-        """Announce (and re-announce, with backoff, round-robining over
-        sponsors) until a reconfiguration commit resumes the rejoiner —
-        per protocol instance: on a sharded host each block folds back
-        independently and the pump retires when the last one clears."""
-        if not host.alive or host.restarts != generation:
-            return  # crashed again; a future restart drives its own pump
-        pending = [proto for proto in host.all_protos() if proto.rejoining]
-        if not pending:
-            host._rejoin_pump_gen = None  # folded back in; pump retired
-            return
-        if self.hb is not None:
-            # No aliveness oracle: announce to every other member in
-            # turn; frames to the dead die in transit, and "nobody is
-            # alive" is indistinguishable from a partition, so there is
-            # deliberately no resume-alone shortcut here.
-            sponsors = [
-                sid for sid in sorted(self.servers) if sid != host.server_id
-            ]
-            sponsor = sponsors[attempt % len(sponsors)]
-            for proto in pending:
-                proto.queue_rejoin_announce(sponsor)
-        elif self.placement is not None:
-            # Per-block rings: a block's rejoin can only be sponsored by
-            # a member of *its* ring — an announcement to any other
-            # server dies as stale-placement traffic.  Prefer a member
-            # that is actually serving; if every peer of a ring is down
-            # or itself rejoining, keep the block pending and retry (the
-            # crash-order rule in ShardedServerHost._resume_alone
-            # already decided who may serve without a sponsor).
-            block_of = {id(proto): reg for reg, proto in host.protos.items()}
-            for proto in pending:
-                reg = block_of[id(proto)]
-                candidates = [
-                    sid
-                    for sid in proto.ring.members
-                    if sid != host.server_id and self.servers[sid].alive
-                ]
-                serving = [
-                    sid
-                    for sid in candidates
-                    if (peer := self.servers[sid].protos.get(reg)) is not None
-                    and not peer.rejoining
-                ]
-                pool = serving or candidates
-                if pool:
-                    proto.queue_rejoin_announce(pool[attempt % len(pool)])
-        else:
-            sponsors = [
-                sid
-                for sid, other in self.servers.items()
-                if sid != host.server_id and other.alive
-            ]
-            if not sponsors:
-                # Nobody to rejoin: the restarted server *is* the ring,
-                # and its recovered pending writes resolve locally.
-                for proto in pending:
-                    proto.complete_rejoin_alone()
-                    host._post(proto.drain_replies())
-                host._rejoin_pump_gen = None
-                return
-            sponsor = sponsors[attempt % len(sponsors)]
-            for proto in pending:
-                proto.queue_rejoin_announce(sponsor)
-        host.kick()
-        delay = min(REJOIN_RETRY_INITIAL * (2 ** attempt), REJOIN_RETRY_MAX)
-        self.env.scheduler.schedule(delay, self._pump_rejoin, host, generation, attempt + 1)
-
     # ------------------------------------------------------------------
-    # Imperfect failure detector plumbing (fd="heartbeat")
+    # Trace mirroring (fd="heartbeat")
     # ------------------------------------------------------------------
 
-    def after_protocol_step(self, host) -> None:
-        """Post-handler hook: reconciliation timers, rejoin pumps and
-        trace mirroring for the epoch-guarded mode.  No-op under the
-        perfect detector.  Iterates ``host.all_protos()``: one protocol
-        on a plain server, one per block on a sharded host."""
-        if self.hb is None:
-            return
+    def mirror_protocol_stats(self, host) -> None:
+        """Fold the protocols' epoch/lease/coding statistics into the
+        trace as counter deltas (run at every post-step)."""
         self._mirror_stat(host, "stats_stale_epoch_dropped", EPOCH_STALE_DROPPED)
         self._mirror_stat(host, "stats_quorum_stalls", EPOCH_QUORUM_STALLS)
         self._mirror_stat(
@@ -1517,15 +1281,6 @@ class SimCluster:
             self._mirror_stat(
                 host, "stats_coding_pending_dropped", CODING_PENDING_DROPPED
             )
-        for proto in host.all_protos():
-            if proto.reconcile_due:
-                proto.reconcile_due = False
-                self._schedule_reconcile(host)
-            if proto.lease_waitout_due:
-                proto.lease_waitout_due = False
-                self._schedule_lease_waitout(host, proto)
-        if any(proto.rejoining for proto in host.all_protos()):
-            self.begin_rejoin(host)
 
     def _mirror_stat(self, host, stat: str, counter: str) -> None:
         value = sum(getattr(proto, stat) for proto in host.all_protos())
@@ -1533,80 +1288,6 @@ class SimCluster:
         if delta > 0:
             self.env.trace.count(counter, delta)
         host._mirrored_stats[stat] = value
-
-    def _schedule_lease_waitout(self, host, proto: ServerProtocol) -> None:
-        """Arm the old-epoch lease wait-out for ``proto``'s just-installed
-        view: after ``heartbeat.waitout()`` every grant issued under the
-        superseded epoch has expired on its holder's clock (drift bound
-        charged), so the new epoch may start completing writes."""
-        self.env.scheduler.schedule(
-            self.config.heartbeat.waitout(),
-            self._fire_lease_waitout,
-            host,
-            proto,
-            proto.installed_epoch,
-            host.restarts,
-        )
-
-    def _fire_lease_waitout(
-        self, host, proto: ServerProtocol, epoch: int, generation: int
-    ) -> None:
-        if not host.alive or host.restarts != generation:
-            return
-        host._post(proto.lease_waitout_elapsed(epoch))
-        host.kick()
-
-    def _schedule_reconcile(self, host: "ServerHost") -> None:
-        """Run the host's view-proposal evaluation after the grace delay.
-
-        The delay is the detector's ``propose_grace``: it covers the
-        suspicion skew between the two sides of a partition, so a
-        wrongly suspected server has paused (its own detector fired)
-        before anyone proposes the view that excludes it.  One timer per
-        host coalesces bursts of detector events.
-        """
-        key = host.server_id
-        if self._reconcile_timers.get(key):
-            return
-        self._reconcile_timers[key] = True
-        generation = host.restarts
-        self.env.scheduler.schedule(
-            self.config.heartbeat.propose_grace,
-            self._fire_reconcile,
-            host,
-            generation,
-        )
-
-    def _fire_reconcile(self, host, generation: int) -> None:
-        self._reconcile_timers[host.server_id] = False
-        if not host.alive or host.restarts != generation:
-            return
-        for proto in host.all_protos():
-            host._post(proto.propose_reconfig())
-        self.after_protocol_step(host)
-        host.kick()
-        if any(
-            proto.paused and not proto.rejoining and (
-                proto._suspicion_paused or proto._attempt_nonce is not None
-            )
-            for proto in host.all_protos()
-        ):
-            # Watchdog: an attempt can die silently (its token rejected
-            # at a peer whose promise pointed at a coordinator that has
-            # since been cleared, or lost with a crashed hop) and a
-            # quorum stall only heals when the detector changes its
-            # mind.  While this server stays blocked, keep re-evaluating
-            # — a fresh attempt carries a higher nonce and replaces our
-            # own stale promise at every peer.
-            key = host.server_id
-            if not self._reconcile_timers.get(key):
-                self._reconcile_timers[key] = True
-                self.env.scheduler.schedule(
-                    4 * self.config.heartbeat.propose_grace,
-                    self._fire_reconcile,
-                    host,
-                    generation,
-                )
 
     def apply_faults(self, plan: FaultPlan) -> None:
         """Schedule a :class:`~repro.sim.faults.FaultPlan` against this
@@ -1670,3 +1351,4 @@ def _payload_of(message) -> int:
 # their own server hosts on the same machinery.
 HostBase = _HostBase
 OutLoop = _OutLoop
+ServerHostBase = _ServerHostBase

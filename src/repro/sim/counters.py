@@ -10,10 +10,8 @@ module — so renaming an emit site can never again make a coverage gate
 vacuously pass (the PR 5 bug this registry exists to prevent).
 
 The constants' *values* are the wire format: they appear verbatim in
-trace logs and in the committed BENCH_*.json snapshots.  Renaming a
-counter therefore needs a deprecation alias (see :data:`_ALIASES` and
-:func:`canonical`) so external scripts reading old snapshots keep
-working; the string values below must never change silently.
+trace logs and in the committed BENCH_*.json snapshots, so the string
+values below must never change silently.
 """
 
 from __future__ import annotations
@@ -202,16 +200,3 @@ def net_suffix(kind: str) -> str:
     if kind not in NET_KINDS:
         raise ValueError(f"unknown scoped counter kind: {kind!r}")
     return f".{kind}"
-
-
-# -- deprecation shim --------------------------------------------------
-#: Old counter name -> current name.  Empty today: the registry was
-#: introduced without renaming anything, so committed BENCH_*.json
-#: snapshots and external scripts keep reading the same keys.  A future
-#: rename must keep the old spelling here for one release.
-_ALIASES: dict[str, str] = {}
-
-
-def canonical(name: str) -> str:
-    """Resolve a possibly-deprecated counter name to its current form."""
-    return _ALIASES.get(name, name)

@@ -5,7 +5,9 @@ all assume that a (seed, schedule) pair reproduces bit-identically.
 Anything that samples the environment — wall clock, process-global RNG,
 hash-randomised set order — breaks that silently.  Three checks, scoped
 to the deterministic core (``repro/core``, ``repro/sim``,
-``repro/transport``, ``repro/chaos``, ``repro/fd``, and
+``repro/transport``, ``repro/chaos``, ``repro/fd``, the simulated
+runtime and the host core it shares with asyncio
+(``repro/runtime/sim_net.py``, ``repro/runtime/host.py``), and
 ``repro/bench/experiments.py``):
 
 * ``determinism.wall-clock`` — calls that read host time;
@@ -38,6 +40,8 @@ _SCOPES = (
     "repro/transport/",
     "repro/chaos/",
     "repro/fd/",
+    "repro/runtime/sim_net.py",
+    "repro/runtime/host.py",
     "repro/bench/experiments.py",
 )
 

@@ -281,3 +281,32 @@ def test_heartbeat_mode_restart_rejoins_through_sponsor():
             await cluster.stop()
 
     run(scenario())
+
+
+def test_heartbeat_mode_read_leases_serve_locally():
+    """Read leases over real sockets: once every peer's grant has
+    arrived, a read is served from the local copy (no ring circulation)
+    and still returns the latest write."""
+
+    async def scenario():
+        cluster = AsyncCluster(3, ProtocolConfig(read_leases=True), fd="heartbeat")
+        await cluster.start()
+        try:
+            writer = cluster.client(home_server=0)
+            reader = cluster.client(home_server=1)
+            await writer.write(b"leased")
+            holder = cluster.nodes[1].proto
+
+            async def leased():
+                while not holder.lease_valid:
+                    await asyncio.sleep(0.05)
+
+            await asyncio.wait_for(leased(), timeout=10.0)
+            assert await asyncio.wait_for(reader.read(), timeout=10.0) == b"leased"
+            assert holder.stats_lease_local_reads >= 1
+            await writer.close()
+            await reader.close()
+        finally:
+            await cluster.stop()
+
+    run(scenario())

@@ -128,16 +128,6 @@ def test_lease_empty_required_set_is_vacuously_valid():
     assert lease.valid(123.0, epoch=7), "a single-server ring has no grantors"
 
 
-def test_lease_expires_at():
-    lease = ReadLease(DUR)
-    lease.set_required([1, 2])
-    assert lease.expires_at(epoch=0) is None, "missing grant: not even potential"
-    lease.grant(1, 0, 0.0)
-    lease.grant(2, 0, 0.4)
-    assert lease.expires_at(epoch=0) == pytest.approx(DUR), "oldest grant bounds"
-    assert lease.expires_at(epoch=1) is None, "wrong epoch: not potential"
-
-
 def test_lease_duration_must_be_positive():
     with pytest.raises(ValueError):
         ReadLease(0.0)

@@ -56,6 +56,25 @@ def test_wall_clock_outside_scope_not_flagged(tmp_path):
     assert violations == []
 
 
+def test_simulated_runtime_and_host_core_in_scope(tmp_path):
+    """The simulated runtime and the host core are trace-critical; the
+    asyncio runtime reads real clocks by design and stays out."""
+    unordered = "def peers(ids):\n    return [sid for sid in set(ids)]\n"
+    violations = run_tree(
+        tmp_path,
+        {
+            "repro/runtime/sim_net.py": unordered,
+            "repro/runtime/host.py": unordered,
+            "repro/runtime/asyncio_net.py": unordered,
+        },
+    )
+    assert sorted(violation.path for violation in violations) == [
+        "repro/runtime/host.py",
+        "repro/runtime/sim_net.py",
+    ]
+    assert set(rules_of(violations)) == {"determinism.unordered-iter"}
+
+
 def test_global_rng_flagged_seeded_instance_allowed(tmp_path):
     violations = run_tree(
         tmp_path,
